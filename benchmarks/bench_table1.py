@@ -16,13 +16,13 @@ from repro.eval.table1 import PAPER_TABLE1, Table1Row, check_shape, render
 from repro.eval.loc import modules_loc
 from repro.structures.registry import all_programs
 
-from conftest import emit
+from conftest import emit, provenance
 
 _ROWS: dict[str, Table1Row] = {}
 
 
 def _run(info) -> Table1Row:
-    report = info.verifier()
+    report = info.run_verifier()
     assert report.ok, report.pretty()
     row = Table1Row(
         name=info.name,
@@ -47,7 +47,7 @@ def test_table1_render_and_shape(benchmark, out_dir):
         if info.name not in _ROWS:
             _run(info)
     rows = [_ROWS[info.name] for info in all_programs()]
-    emit(out_dir, "table1.txt", render(rows))
+    emit(out_dir, "table1.txt", render(rows) + "\n" + provenance())
     issues = check_shape(rows)
     assert not issues, issues
     # Paper-relative ordering spot checks.

@@ -8,6 +8,9 @@ to see them inline).
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,33 @@ def emit(out_dir: Path, name: str, text: str) -> None:
     path.write_text(text + "\n")
     print(f"\n===== {name} =====")
     print(text)
+
+
+def provenance() -> str:
+    """One line naming the commit and the machine an artifact was
+    measured on (``+dirty``: the working tree had uncommitted changes)."""
+
+    def git(*cmd: str) -> str:
+        try:
+            proc = subprocess.run(
+                ["git", *cmd], cwd=OUT_DIR.parent, capture_output=True, text=True, timeout=30
+            )
+        except (OSError, subprocess.SubprocessError):
+            return ""
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    sha = git("rev-parse", "--short=12", "HEAD") or "unknown"
+    if git("status", "--porcelain", "--untracked-files=no"):
+        sha += "+dirty"
+    cpu = platform.processor() or "unknown CPU"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return (
+        f"measured at commit {sha} on {cpu}, {os.cpu_count()} cores, "
+        f"Python {platform.python_version()}"
+    )

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..core.concurroid import Concurroid
 from ..core.state import State
+from ..core.steptable import table_for
 from ..core.verify import set_prepass
 from .specs import probe_self_framed
 
@@ -122,8 +123,9 @@ class StaticPrepass:
     def _sweep(conc: Concurroid, states: tuple[State, ...]) -> bool:
         universe = set(states)
         try:
+            env = table_for(conc).env
             for s in states:
-                for s2 in conc.env_moves(s):
+                for s2 in env(s):
                     if s2 not in universe:
                         return False  # family is not env-closed
                     for lbl in s.labels():

@@ -29,6 +29,7 @@ from ..heap import Ptr
 from .concurroid import Concurroid
 from .errors import MetatheoryViolation
 from .state import State, SubjState
+from .steptable import StepTable, table_for
 
 
 class Action(ABC):
@@ -90,6 +91,7 @@ def check_action(
     """Check every per-action obligation over coherent ``states``."""
     issues: list[ActionIssue] = []
     conc = action.concurroid
+    table = table_for(conc)
     args_family = tuple(args_family)
 
     def report(condition: str, witness: str) -> bool:
@@ -97,7 +99,7 @@ def check_action(
         return len(issues) >= max_issues
 
     for s in states:
-        if not conc.coherent(s):
+        if not table.coherent(s):
             continue
         for args in args_family:
             if not action.safe(s, *args):
@@ -108,7 +110,7 @@ def check_action(
                 if report("totality", f"step raised {exc!r} at {s!r} args={args!r}"):
                     return issues
                 continue
-            if not conc.coherent(s2):
+            if not table.coherent(s2):
                 if report("totality", f"incoherent post-state at {s!r} args={args!r}"):
                     return issues
             for lbl in conc.labels:
@@ -118,10 +120,10 @@ def check_action(
             if not _erasure_ok(action, s, s2, args):
                 if report("erasure", f"real-heap change outside footprint at {s!r} args={args!r}"):
                     return issues
-            if not _corresponds(action, s, s2):
+            if not _corresponds(table, s, s2):
                 if report("transition-correspondence", f"{s!r} --{action.name}--> {s2!r}"):
                     return issues
-            if not _local(action, s, args, value, s2):
+            if not _local(action, table, s, args, value, s2):
                 if report("locality", f"outcome depends on `other` at {s!r} args={args!r}"):
                     return issues
     return issues
@@ -153,18 +155,14 @@ class _Missing:
 _MISSING = _Missing()
 
 
-def _corresponds(action: Action, s: State, s2: State) -> bool:
+def _corresponds(table: StepTable, s: State, s2: State) -> bool:
     """``s2`` is ``s`` (idle) or one transition step away."""
-    if s2 == s:
-        return True
-    for t in action.concurroid.transitions():
-        for __, succ in t.successors(s):
-            if succ == s2:
-                return True
-    return False
+    return s2 == s or any(succ == s2 for __, __, succ in table.steps(s))
 
 
-def _local(action: Action, s: State, args: tuple, value: Any, s2: State) -> bool:
+def _local(
+    action: Action, table: StepTable, s: State, args: tuple, value: Any, s2: State
+) -> bool:
     """Frameability (the Separation-Logic frame property, §3.4): running
     the action with a *larger* ``self`` — obtained by pulling a summand
     ``b`` out of ``other`` into ``self``, which fork-join closure keeps
@@ -182,7 +180,7 @@ def _local(action: Action, s: State, args: tuple, value: Any, s2: State) -> bool
             framed = s.set(
                 lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
             )
-            if not conc.coherent(framed) or not action.safe(framed, *args):
+            if not table.coherent(framed) or not action.safe(framed, *args):
                 continue
             try:
                 value_framed, s2_framed = action.step(framed, *args)

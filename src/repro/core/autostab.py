@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .concurroid import Concurroid
 from .stability import check_stability
+from .steptable import table_for
 from .state import State
 
 Observable = Callable[[State], Any]
@@ -107,12 +108,13 @@ def check_observable_monotone(
     """One pass over the model's environment edges: ``obs(s) ⊑ obs(s')``
     for every env step ``s -> s'``.  Once this holds, *every* lower bound
     on the observable is stable — the overloaded lemma."""
+    table = table_for(conc)
     issues: list[str] = []
     for s in states:
-        if not conc.coherent(s):
+        if not table.coherent(s):
             continue
         before = observable(s)
-        for s2 in conc.env_moves(s):
+        for s2 in table.env(s):
             if not leq(before, observable(s2)):
                 issues.append(
                     f"observable not monotone: {before!r} -> {observable(s2)!r} at {s!r}"

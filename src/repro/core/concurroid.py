@@ -25,6 +25,7 @@ from ..heap import EMPTY, Heap
 from ..pcm.base import PCM
 from .errors import MetatheoryViolation
 from .state import State, SubjState
+from .steptable import StepTable, table_for
 
 
 @dataclass(frozen=True)
@@ -189,22 +190,22 @@ def check_concurroid(
         issues.append(MetatheoryIssue(name, condition, transition, witness))
         return len(issues) >= max_issues
 
+    table = table_for(conc)
     for s in states:
-        if not conc.coherent(s):
+        if not table.coherent(s):
             continue
-        for t in conc.transitions():
-            for p, s2 in t.successors(s):
-                if not conc.coherent(s2):
-                    if report("coherence-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
+        for tname, p, s2 in table.steps(s):
+            if not table.coherent(s2):
+                if report("coherence-preservation", tname, f"{s!r} --{p!r}--> {s2!r}"):
+                    return issues
+            for lbl in conc.labels:
+                if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
+                    if report("other-preservation", tname, f"label {lbl} at {s!r}"):
                         return issues
-                for lbl in conc.labels:
-                    if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
-                        if report("other-preservation", t.name, f"label {lbl} at {s!r}"):
-                            return issues
-                if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
-                    if report("footprint-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
-                        return issues
-        for issue_witness in _fork_join_counterexamples(conc, s):
+            if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
+                if report("footprint-preservation", tname, f"{s!r} --{p!r}--> {s2!r}"):
+                    return issues
+        for issue_witness in _fork_join_counterexamples(conc, s, table):
             if report("fork-join-closure", "", issue_witness):
                 return issues
     return issues
@@ -220,13 +221,14 @@ def _footprint_preserved(conc: Concurroid, s: State, s2: State) -> bool:
     return True
 
 
-def _fork_join_counterexamples(conc: Concurroid, s: State) -> Iterator[str]:
+def _fork_join_counterexamples(conc: Concurroid, s: State, table: StepTable) -> Iterator[str]:
     """Yield witnesses of fork-join closure failures at state ``s``.
 
     Closure: if ``[a • b | j | o]`` is coherent then so is ``[a | j | b • o]``
     (and symmetrically back).  We check all splits of ``self`` pushed into
     ``other``, and all splits of ``other`` pulled into ``self``.
     """
+    coherent = table.coherent
     pcms = conc.pcms()
     for lbl, pcm in pcms.items():
         if lbl not in s:
@@ -234,11 +236,11 @@ def _fork_join_counterexamples(conc: Concurroid, s: State) -> Iterator[str]:
         comp = s[lbl]
         for a, b in pcm.splits(comp.self_):
             realigned = s.set(lbl, SubjState(a, comp.joint, pcm.join(b, comp.other)))
-            if not conc.coherent(realigned):
+            if not coherent(realigned):
                 yield f"label {lbl}: self split ({a!r}, {b!r}) at {s!r}"
         for a, b in pcm.splits(comp.other):
             realigned = s.set(lbl, SubjState(pcm.join(comp.self_, b), comp.joint, a))
-            if not conc.coherent(realigned):
+            if not coherent(realigned):
                 yield f"label {lbl}: other split ({a!r}, {b!r}) at {s!r}"
 
 
@@ -257,6 +259,7 @@ def protocol_closure(
     """
     from collections import deque
 
+    table = table_for(conc)
     seen: set[State] = set()
     frontier: deque[State] = deque()
     for s in initials:
@@ -265,10 +268,8 @@ def protocol_closure(
             frontier.append(s)
     while frontier:
         current = frontier.popleft()
-        successors: list[State] = []
-        for t in conc.transitions():
-            successors.extend(s2 for __, s2 in t.successors(current))
-        successors.extend(conc.env_moves(current))
+        successors = [s2 for __, __, s2 in table.steps(current)]
+        successors.extend(table.env(current))
         for succ in successors:
             if succ not in seen:
                 if len(seen) >= max_states:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 from .concurroid import Concurroid
 from .errors import StabilityViolation
 from .state import State
+from .steptable import table_for
 
 Assertion = Callable[[State], bool]
 
@@ -48,11 +49,12 @@ def env_closure(
     max_states: int = 5_000,
 ) -> set[State]:
     """All states reachable from ``state`` by environment steps (incl. it)."""
+    env = table_for(conc).env
     seen = {state}
     frontier = deque([state])
     while frontier:
         current = frontier.popleft()
-        for succ in conc.env_moves(current):
+        for succ in env(current):
             if succ not in seen:
                 if len(seen) >= max_states:
                     raise StabilityViolation(
@@ -96,16 +98,17 @@ def check_stability(
         except Exception:  # noqa: BLE001 - a broken pre-pass must never fail a proof
             pass
 
+    table = table_for(conc)
     issues: list[StabilityIssue] = []
     for start in states:
-        if not conc.coherent(start) or not assertion(start):
+        if not table.coherent(start) or not assertion(start):
             continue
         seen = {start: 0}
         parents: dict[State, State] = {}
         frontier = deque([start])
         while frontier:
             current = frontier.popleft()
-            for succ in conc.env_moves(current):
+            for succ in table.env(current):
                 if succ in seen:
                     continue
                 if len(seen) >= max_states:

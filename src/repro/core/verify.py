@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Sequence
 from ..obs import tracer as obs_tracer
 from .errors import SpecViolation
 from .spec import Scenario, Spec, TripleOutcome
+from .steptable import scope_counts
 from .world import World
 
 #: The obligation categories of Table 1.
@@ -594,6 +595,8 @@ class ReportBuilder:
         wstack = _witness_stack()
         wstack.append(witnesses)
         tb: str | None = None
+        tr = obs_tracer.current()
+        memo_before = scope_counts() if tr is not None else None
         started = time.perf_counter()
         try:
             issues = [str(i) for i in fn()]
@@ -616,8 +619,10 @@ class ReportBuilder:
             traceback=tb,
         )
         self._report.obligations.append(result)
-        tr = obs_tracer.current()
         if tr is not None:
+            # Step-table hits and misses of this obligation alone (the
+            # tables are shared by every obligation of the program).
+            memo = _counts_delta(memo_before, scope_counts())
             tr.span(
                 name,
                 "obligation",
@@ -628,11 +633,23 @@ class ReportBuilder:
                 issues=len(issues),
                 prepass_skips=skips,
                 witnesses=len(witnesses),
+                **memo,
             )
         return result
 
     def build(self) -> VerificationReport:
         return self._report
+
+
+def _counts_delta(
+    before: dict[str, int] | None, after: dict[str, int] | None
+) -> dict[str, int]:
+    """``after - before`` per counter; a table first built during the
+    obligation counts from zero."""
+    if after is None:
+        return {}
+    before = before or {}
+    return {key: value - before.get(key, 0) for key, value in after.items()}
 
 
 def check_triple(

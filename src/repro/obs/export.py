@@ -7,8 +7,9 @@ export is a direct mapping onto the Chrome trace-event format — the file
 per engine worker and the explorer/cache counters as tracks.
 
 The same records feed ``repro profile``: spans aggregate into a hotspot
-table (calls, total/mean/max wall time per span name) and the instant
-events into counter totals (configs explored, prunes, cache hits…).
+table (calls, total/mean/max wall time per span name), obligation spans
+into step-table memo hit rates, and the instant events into counter
+totals (configs explored, prunes, cache hits…).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..core.steptable import KINDS
 from .tracer import PH_COUNTER, PH_INSTANT, PH_SPAN, Record
 
 
@@ -98,6 +100,28 @@ def counter_totals(records: Iterable[Record]) -> dict[str, float]:
     return totals
 
 
+def memo_rates(records: Iterable[Record]) -> list[dict[str, Any]]:
+    """Step-table hits and lookups per obligation, summed over every span
+    of that name, busiest first; obligations with no lookups are left out."""
+    agg: dict[str, dict[str, Any]] = {}
+    for ph, name, cat, __, ___, *____, args in records:
+        if ph != PH_SPAN or cat != "obligation" or "coherent_hits" not in args:
+            continue
+        row = agg.setdefault(name, {"name": name, "lookups": 0})
+        for kind in KINDS:
+            hits = args.get(f"{kind}_hits", 0)
+            lookups = hits + args.get(f"{kind}_misses", 0)
+            row[f"{kind}_hits"] = row.get(f"{kind}_hits", 0) + hits
+            row[f"{kind}_lookups"] = row.get(f"{kind}_lookups", 0) + lookups
+            row["lookups"] += lookups
+    rows = [row for row in agg.values() if row["lookups"]]
+    return sorted(rows, key=lambda r: r["lookups"], reverse=True)
+
+
+def _rate(hits: int, lookups: int) -> str:
+    return f"{100.0 * hits / lookups:5.1f}% of {lookups}" if lookups else "-"
+
+
 def render_profile(records: Iterable[Record], *, limit: int = 25) -> str:
     """The ``repro profile`` output: hotspot table plus counter totals."""
     records = list(records)
@@ -115,6 +139,18 @@ def render_profile(records: Iterable[Record], *, limit: int = 25) -> str:
         lines.append(f"(+{len(rows) - limit} more span name(s))")
     if not rows:
         lines.append("(no spans recorded)")
+    memo = memo_rates(records)
+    if memo:
+        lines.append("")
+        lines.append("step-table memo hit rate per obligation (hits / lookups)")
+        lines.append(f"{'obligation':<40} " + " ".join(f"{k:>16}" for k in KINDS))
+        for row in memo[:limit]:
+            rates = " ".join(
+                f"{_rate(row[f'{k}_hits'], row[f'{k}_lookups']):>16}" for k in KINDS
+            )
+            lines.append(f"{row['name'][:40]:<40} {rates}")
+        if len(memo) > limit:
+            lines.append(f"(+{len(memo) - limit} more obligation(s))")
     totals = counter_totals(records)
     if totals:
         lines.append("")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from ..core.steptable import step_tables
 from ..core.verify import VerificationReport
 
 #: The concurroid columns of Table 2, in the paper's order.
@@ -69,8 +70,14 @@ class ProgramInfo:
         return self.concurroids.get(column, "")
 
     def run_verifier(self) -> VerificationReport:
-        """Invoke the verification entry point with this row's kwargs."""
-        return self.verifier(**dict(self.verifier_kwargs))
+        """Invoke the verification entry point with this row's kwargs.
+
+        The run is one :func:`~repro.core.steptable.step_tables` scope:
+        its checkers share one memo of protocol steps per concurroid,
+        dropped when the call returns.
+        """
+        with step_tables():
+            return self.verifier(**dict(self.verifier_kwargs))
 
 
 def _lock_marks() -> dict[str, str]:

@@ -27,6 +27,7 @@ from ..core.action import check_action
 from ..core.entangle import Priv
 from ..core.spec import Scenario
 from ..core.stability import check_stability
+from ..core.steptable import table_for
 from ..core.state import State
 from ..core.verify import ReportBuilder, VerificationReport, check_triple, triple_issues
 from ..core.world import World
@@ -314,12 +315,13 @@ def _check_subgraph_lemmas() -> list[str]:
 def _check_subgraph_env_monotone(conc: SpanTreeConcurroid, states: list[State]) -> list[str]:
     """Lemma ``subgraph_steps``: environment steps of SpanTree only produce
     ``subgraph``-successors (the main stability workhorse of §3.2)."""
+    table = table_for(conc)
     issues: list[str] = []
     for s in states:
-        if not conc.coherent(s):
+        if not table.coherent(s):
             continue
         before = conc.as_marked_graph(s)
-        for s2 in conc.env_moves(s):
+        for s2 in table.env(s):
             if not subgraph(before, conc.as_marked_graph(s2)):
                 issues.append(f"env step breaks subgraph at {s!r} -> {s2!r}")
                 if len(issues) >= 3:

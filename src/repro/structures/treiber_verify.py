@@ -23,6 +23,7 @@ from ..core.concurroid import check_concurroid, protocol_closure
 from ..core.prog import par
 from ..core.spec import Scenario, Spec
 from ..core.stability import check_stability
+from ..core.steptable import table_for
 from ..core.state import State
 from ..core.verify import ReportBuilder, VerificationReport, check_triple, triple_issues
 from ..core.world import World
@@ -70,8 +71,9 @@ def _replay_agreement(states: list[State], structure: TreiberStructure) -> list[
     equals the history replay (the linearizability anchor)."""
     issues = []
     conc = structure.treiber
+    coherent = table_for(structure.concurroid).coherent
     for s in states:
-        if not structure.concurroid.coherent(s):
+        if not coherent(s):
             continue
         if conc.total_history(s).final_state(()) != conc.stack(s):
             issues.append(f"replay disagrees with heap at {s!r}")
