@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ast
 import importlib.util
-import json
 import shutil
 import time
 from pathlib import Path
@@ -29,7 +28,7 @@ from repro.analysis.deps import analyze_obligations
 from repro.engine import run_sweep
 from repro.structures.registry import program
 
-from conftest import emit
+from conftest import emit, emit_json
 
 PROGRAM = "Ticketed lock"
 
@@ -172,27 +171,25 @@ def test_deps_benchmark(out_dir):
         f"slack {OVERHEAD_SLACK_SECONDS:.1f}s)",
     ]
     emit(out_dir, "deps.txt", "\n".join(lines))
-    (out_dir / "deps.json").write_text(
-        json.dumps(
-            {
-                "program": PROGRAM,
-                "target": TARGET,
-                "obligations": total,
-                "reverified": reverified,
-                "reverified_fraction": fraction,
-                "cone": sorted(expected),
-                "repeats": REPEATS,
-                "cold_plain_seconds": plain_secs,
-                "cold_incremental_seconds": inc_secs,
-                "cold_plain_runs": plain_runs,
-                "cold_incremental_runs": inc_runs,
-                "analysis_overhead": overhead,
-                "within_budget": fraction <= MAX_REVERIFIED_FRACTION
-                and overhead_ok,
-            },
-            indent=2,
-        )
-        + "\n"
+    emit_json(
+        out_dir,
+        "deps.json",
+        {
+            "program": PROGRAM,
+            "target": TARGET,
+            "obligations": total,
+            "reverified": reverified,
+            "reverified_fraction": fraction,
+            "cone": sorted(expected),
+            "repeats": REPEATS,
+            "cold_plain_seconds": plain_secs,
+            "cold_incremental_seconds": inc_secs,
+            "cold_plain_runs": plain_runs,
+            "cold_incremental_runs": inc_runs,
+            "analysis_overhead": overhead,
+            "within_budget": fraction <= MAX_REVERIFIED_FRACTION
+            and overhead_ok,
+        },
     )
 
     assert reverified == len(expected), (

@@ -16,14 +16,13 @@ Artifact: ``benchmarks/out/durability.json`` (uploaded by CI).
 
 from __future__ import annotations
 
-import json
 import shutil
 import time
 from pathlib import Path
 
 from repro.engine import run_sweep
 
-from conftest import emit
+from conftest import emit, emit_json
 
 #: Fast rows: enough real verification work to dwarf per-unit fsyncs.
 PROGRAMS = ("CAS-lock", "Ticketed lock", "CG increment")
@@ -105,20 +104,18 @@ def test_journal_overhead(out_dir):
         f"(budget {MAX_JOURNAL_BYTES / 1024:.0f} KiB)",
     ]
     emit(out_dir, "durability.txt", "\n".join(lines))
-    (out_dir / "durability.json").write_text(
-        json.dumps(
-            {
-                "programs": list(PROGRAMS),
-                "repeats": REPEATS,
-                "journal_off_seconds": plain_secs,
-                "journal_on_seconds": journaled_secs,
-                "overhead": overhead,
-                "journal_bytes": journal_bytes,
-                "within_budget": within_budget,
-            },
-            indent=2,
-        )
-        + "\n"
+    emit_json(
+        out_dir,
+        "durability.json",
+        {
+            "programs": list(PROGRAMS),
+            "repeats": REPEATS,
+            "journal_off_seconds": plain_secs,
+            "journal_on_seconds": journaled_secs,
+            "overhead": overhead,
+            "journal_bytes": journal_bytes,
+            "within_budget": within_budget,
+        },
     )
 
     assert within_budget, (

@@ -18,15 +18,14 @@ ride-along analysis, recorded as a text table and a JSON artifact
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.analysis.lockorder import lockorder_target
 from repro.analysis.race import race_target
-from repro.analysis.scenarios import por_scenarios, run_scenario
+from repro.analysis.scenarios import paper_scenarios, run_scenario
 from repro.analysis.targets import target_for
 
-from conftest import emit
+from conftest import emit, emit_json
 
 #: Lock-bearing registry rows for the static head-to-head.
 STATIC_PROGRAMS = ("CAS-lock", "Ticketed lock", "Flat combiner")
@@ -72,11 +71,11 @@ def test_liveness_overhead(out_dir):
     )
 
     dynamic_rows = []
-    for scenario in por_scenarios(DYNAMIC_PROGRAMS):
+    for scenario in paper_scenarios(DYNAMIC_PROGRAMS):
         t0 = time.perf_counter()
-        base = run_scenario(scenario, por=False)
+        base = run_scenario(scenario)
         t1 = time.perf_counter()
-        live = run_scenario(scenario, por=False, liveness=True)
+        live = run_scenario(scenario, liveness=True)
         t2 = time.perf_counter()
         # The detector observes the same search: identical frontier.
         assert base.explored == live.explored, scenario.key
@@ -110,7 +109,7 @@ def test_liveness_overhead(out_dir):
             "bound": DYNAMIC_OVERHEAD,
         },
     }
-    (out_dir / "liveness.json").write_text(json.dumps(payload, indent=2) + "\n")
+    emit_json(out_dir, "liveness.json", payload)
 
     lines = [
         "fcsl-live overhead (static lockorder vs race; lasso detector on vs off)",

@@ -21,20 +21,19 @@ tracing off must cost **under 5%** of sweep wall time — two ways:
   is only about the off path — but the numbers land in the artifact so
   a regression is visible in CI.
 
-Workload: every representative POR scenario (the same rows bench_por
-uses), run unreduced — a pure explorer workload, which is where the
-hottest instrumentation lives.  Artifact: ``benchmarks/out/obs_overhead.json``.
+Workload: every representative case-study scenario
+(:data:`repro.analysis.scenarios.PAPER_SCENARIOS`) — a pure explorer
+workload, which is where the hottest instrumentation lives.  Artifact: ``benchmarks/out/obs_overhead.json``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
-from repro.analysis.scenarios import por_scenarios, run_scenario
+from repro.analysis.scenarios import paper_scenarios, run_scenario
 from repro.obs import tracer
 
-from conftest import emit
+from conftest import emit, emit_json
 
 #: The acceptance bound: tracing off costs < 5% of sweep wall time.
 MAX_OFF_OVERHEAD = 0.05
@@ -50,8 +49,8 @@ REPEATS = 3
 def _workload() -> int:
     """One pass over every representative scenario; returns configs."""
     total = 0
-    for scenario in por_scenarios():
-        total += run_scenario(scenario, por=False).explored
+    for scenario in paper_scenarios():
+        total += run_scenario(scenario).explored
     return total
 
 
@@ -120,7 +119,7 @@ def test_tracing_off_overhead_under_bound(out_dir):
         f"  off overhead fraction:  {overhead:8.2%}  (bound: {MAX_OFF_OVERHEAD:.0%})",
     ]
     emit(out_dir, "obs_overhead.txt", "\n".join(lines))
-    (out_dir / "obs_overhead.json").write_text(json.dumps(rows, indent=2) + "\n")
+    emit_json(out_dir, "obs_overhead.json", rows)
 
     assert overhead < MAX_OFF_OVERHEAD, (
         f"tracing-off overhead bound {overhead:.2%} exceeds "

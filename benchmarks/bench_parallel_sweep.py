@@ -22,7 +22,7 @@ import time
 
 from repro.engine import ObligationCache, run_sweep
 
-from conftest import emit
+from conftest import emit, emit_json
 
 #: The fast half of the registry — the bench must not rerun the whole of
 #: Table 1 (the flat combiner alone dominates it by a minute).
@@ -123,9 +123,7 @@ def test_parallel_cached_sweep(out_dir):
             o.name: o.seconds for o in serial.outcomes
         },
     }
-    (out_dir / "parallel_sweep.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    emit_json(out_dir, "parallel_sweep.json", payload)
 
     lines = [
         "parallel cached sweep (engine)",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ast
 import importlib.util
-import json
 import shutil
 import subprocess
 import sys
@@ -30,7 +29,7 @@ from pathlib import Path
 from repro.serve import DaemonServer, Session, call
 from repro.serve.watcher import Watcher
 
-from conftest import emit
+from conftest import emit_json
 
 PROGRAM = "Ticketed lock"
 MODULE = "repro.structures.locks.ticketed"
@@ -166,7 +165,7 @@ def test_serve_benchmark(out_dir):
         "cold_repeats": COLD_REPEATS,
         "warm_repeats": WARM_REPEATS,
     }
-    emit(out_dir, "serve.json", json.dumps(artifact, indent=2))
+    emit_json(out_dir, "serve.json", artifact)
     assert speedup >= MIN_SPEEDUP, (
         f"warm daemon watch cycle ({warm_seconds:.2f}s) is only "
         f"{speedup:.2f}x faster than a cold one-shot verify "

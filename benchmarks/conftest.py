@@ -3,15 +3,20 @@
 Every benchmark regenerates one table/figure of the paper's evaluation
 (§6) or an ablation called out in DESIGN.md.  Rendered artifacts are
 written under ``benchmarks/out/`` and echoed to stdout (run with ``-s``
-to see them inline).
+to see them inline).  Both writers, :func:`emit` for text and
+:func:`emit_json` for JSON, stamp the artifact with :func:`provenance`,
+so every regenerated file names the commit and machine it was measured
+on.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import subprocess
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -25,11 +30,17 @@ def out_dir() -> Path:
 
 
 def emit(out_dir: Path, name: str, text: str) -> None:
-    """Write a rendered artifact and echo it."""
-    path = out_dir / name
-    path.write_text(text + "\n")
+    """Write a rendered text artifact, stamped on its last line, and echo it."""
+    text = f"{text}\n{provenance()}"
+    (out_dir / name).write_text(text + "\n")
     print(f"\n===== {name} =====")
     print(text)
+
+
+def emit_json(out_dir: Path, name: str, payload: dict[str, Any]) -> None:
+    """Write a JSON artifact with a ``provenance`` key."""
+    text = json.dumps({**payload, "provenance": provenance()}, indent=2)
+    (out_dir / name).write_text(text + "\n")
 
 
 def provenance() -> str:

@@ -11,8 +11,8 @@ Entry points:
   and bounded-liveness rules (FCSL050+, the ``python -m repro live``
   CLI), with :mod:`repro.analysis.lockorder` supplying the static
   lock-order graph.
-* :func:`repro.analysis.interference.analyze_program` — the footprint /
-  commutativity analysis behind ``explore(..., por=True)``.
+* :func:`repro.analysis.interference.action_footprint` — the observed
+  per-action footprints the race and lock-order rules reason from.
 * :func:`repro.analysis.prepass.static_prepass` — context manager that
   lets the dynamic verifiers skip provably-redundant stability
   obligations.
@@ -35,14 +35,7 @@ from .diagnostics import (
     select,
     worst_severity,
 )
-from .interference import (
-    Footprint,
-    ProgramInterference,
-    action_footprint,
-    analyze_config,
-    analyze_program,
-    footprints_conflict,
-)
+from .interference import Footprint, action_footprint
 from .liveness import (
     FAIRNESS_CLAIMS,
     check_fairness,
@@ -65,20 +58,16 @@ __all__ = [
     "FAIRNESS_CLAIMS",
     "Footprint",
     "LockOrderGraph",
-    "ProgramInterference",
     "SelectorError",
     "Severity",
     "StaticPrepass",
     "action_footprint",
-    "analyze_config",
     "analyze_obligations",
-    "analyze_program",
     "build_lock_order",
     "check_fairness",
     "deps_registry",
     "fairness_issues",
     "find_live_cycles",
-    "footprints_conflict",
     "lint_registry",
     "lint_target",
     "live_registry",

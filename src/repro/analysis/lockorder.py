@@ -164,8 +164,7 @@ class LockOrderGraph:
 
     def with_edge(self, src: str, dst: str) -> "LockOrderGraph":
         """A strictly coarser graph with one synthetic edge added (the
-        mutation hook for the cycle-rule tests, analogous to
-        ``Footprint.widened``)."""
+        mutation hook for the cycle-rule tests)."""
         acquires = dict(self.acquires)
         for n in (src, dst):
             acquires.setdefault(n, ())

@@ -1,6 +1,6 @@
 """fcsl-race: race-shaped defect rules (FCSL045-048) over lint targets.
 
-The rules consume the same facts the POR oracle does — observed
+The rules consume static interference facts — observed
 footprints (:func:`repro.analysis.interference.action_footprint`),
 concolically collected program instances with their sequential order,
 and environment moves of the declared concurroids — and flag patterns

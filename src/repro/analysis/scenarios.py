@@ -1,15 +1,14 @@
 """Representative ``Main``-triple scenarios of every registry program,
 reusable outside their verification functions.
 
-The POR soundness gate (tests/test_por_equiv.py), the POR benchmark
-(benchmarks/bench_por.py) and the evaluation report all need the same
-thing: one or more concrete (world, initial state, program) triples per
-Table 1 case study, with the exploration bounds its verification uses,
-so reduced and unreduced searches can be compared head-to-head.  The
-builders here mirror the scenarios inside each ``verify_*`` function —
-same programs, same bounds — plus two extra pair-snapshot client
-compositions that showcase the reduction (two ``read_pair`` instances
-commute on everything but the shared version cells).
+The exploration bounds gate (tests/test_explore_equiv.py), the liveness
+equivalence gate (tests/test_liveness_equiv.py) and the explorer
+benchmarks all need the same thing: one or more concrete (world, initial
+state, program) triples per registry row, with the exploration bounds
+its verification uses.  The builders here mirror the scenarios inside
+each ``verify_*`` function — same programs, same bounds — plus two extra
+pair-snapshot client compositions (two readers, and two readers racing
+a writer).
 
 Builders are zero-argument thunks so importing this module stays cheap;
 structure modules load only when a scenario is actually built.
@@ -27,7 +26,7 @@ Built = tuple
 
 
 @dataclass(frozen=True)
-class PorScenario:
+class ExploreScenario:
     """One registry Main scenario with its exploration bounds."""
 
     #: Registry row (``repro.structures.registry``) this is drawn from.
@@ -39,15 +38,6 @@ class PorScenario:
     max_steps: int
     env_budget: int
     max_configs: int = 200_000
-    #: Whether symmetry reduction preserves the terminal set exactly
-    #: modulo result-pair permutation.  False only when identical
-    #: sibling threads feed *order-sensitive* join logic (the spanning
-    #: tree writes its left or right edge slot depending on which child
-    #: won the marking race), where the reduction keeps one
-    #: representative terminal per orbit — the standard quotient
-    #: semantics; the verdict is still exact because every registry spec
-    #: is invariant under the orbit map.
-    sym_exact: bool = True
 
     @property
     def key(self) -> str:
@@ -131,10 +121,6 @@ def _pair_snapshot(shape: str) -> Built:
         "rp||rp": par(rp(), rp()),
         "rp||(rp||wx)": par(rp(), par(rp(), wx())),
         "rp||wx": par(rp(), wx()),
-        # The scaling scenario: three symmetric readers under heavy
-        # interference — the largest registry exploration, used by
-        # bench_parallel_explore.py to demonstrate the parallel speedup.
-        "rp||(rp||rp)": par(rp(), par(rp(), rp())),
     }
     return (World((conc,)), initial_state(conc), progs[shape])
 
@@ -214,38 +200,32 @@ def _spanning_tree() -> Built:
     )
 
 
-#: Every registry program appears at least once (the soundness gate
-#: iterates this list); bounds mirror the verify_* functions.
-POR_SCENARIOS: tuple[PorScenario, ...] = (
-    PorScenario("CAS-lock", "bump||bump", _cas_lock, 60, 1),
-    PorScenario("Ticketed lock", "bump||bump", _ticketed_lock, 60, 1),
-    PorScenario("CG increment", "incr||incr", _cg_increment, 40, 1),
-    PorScenario("CG allocator", "alloc||alloc", _cg_allocator, 50, 0),
-    PorScenario(
+#: Every paper case study appears at least once (the bounds gate iterates
+#: this list); bounds mirror the verify_* functions.
+PAPER_SCENARIOS: tuple[ExploreScenario, ...] = (
+    ExploreScenario("CAS-lock", "bump||bump", _cas_lock, 60, 1),
+    ExploreScenario("Ticketed lock", "bump||bump", _ticketed_lock, 60, 1),
+    ExploreScenario("CG increment", "incr||incr", _cg_increment, 40, 1),
+    ExploreScenario("CG allocator", "alloc||alloc", _cg_allocator, 50, 0),
+    ExploreScenario(
         "Pair snapshot", "rp||rp", lambda: _pair_snapshot("rp||rp"), 60, 1
     ),
-    PorScenario(
+    ExploreScenario(
         "Pair snapshot",
         "rp||(rp||wx)",
         lambda: _pair_snapshot("rp||(rp||wx)"),
         60,
         0,
     ),
-    PorScenario(
+    ExploreScenario(
         "Pair snapshot", "rp||wx", lambda: _pair_snapshot("rp||wx"), 60, 2
     ),
-    PorScenario("Treiber stack", "push||push", _treiber, 60, 0, 400_000),
-    PorScenario("Flat combiner", "push||pop", _flat_combiner, 36, 0, 300_000),
-    PorScenario("FC-stack", "push||pop", _fc_stack, 80, 0, 300_000),
-    PorScenario("Prod/Cons", "prodcons(1)", _prod_cons, 300, 0, 500_000),
-    PorScenario("Seq. stack", "push;pop", _seq_stack, 120, 0),
-    # Both root edges lead to the same node, so the two span() children
-    # are identical programs racing to mark it; the join writes the
-    # winning edge slot, making the terminal heaps mirror images — the
-    # one registry program whose symmetry quotient is a strict subset.
-    PorScenario(
-        "Spanning tree", "span_root/2", _spanning_tree, 80, 0, sym_exact=False
-    ),
+    ExploreScenario("Treiber stack", "push||push", _treiber, 60, 0, 400_000),
+    ExploreScenario("Flat combiner", "push||pop", _flat_combiner, 36, 0, 300_000),
+    ExploreScenario("FC-stack", "push||pop", _fc_stack, 80, 0, 300_000),
+    ExploreScenario("Prod/Cons", "prodcons(1)", _prod_cons, 300, 0, 500_000),
+    ExploreScenario("Seq. stack", "push;pop", _seq_stack, 120, 0),
+    ExploreScenario("Spanning tree", "span_root/2", _spanning_tree, 80, 0),
 )
 
 
@@ -281,61 +261,43 @@ def _unfair_lock_demo() -> Built:
 #: The two ``demo=True`` registry rows (deliberately defective fcsl-live
 #: positive cases, name-resolvable but excluded from default sweeps);
 #: bounds mirror their verify_* Main triples.
-DEMO_SCENARIOS: tuple[PorScenario, ...] = (
-    PorScenario("Two-lock demo", "ladder-la-lb", _two_lock_demo, 40, 1),
-    PorScenario("Unfair lock demo", "bump||bump", _unfair_lock_demo, 80, 1),
+DEMO_SCENARIOS: tuple[ExploreScenario, ...] = (
+    ExploreScenario("Two-lock demo", "ladder-la-lb", _two_lock_demo, 40, 1),
+    ExploreScenario("Unfair lock demo", "bump||bump", _unfair_lock_demo, 80, 1),
 )
 
-#: The exploration-equivalence gate (tests/test_explore_equiv.py) runs
-#: every registry program *including* the demo rows through the
-#: parallel/symmetry/POR/liveness combination matrix.
-EXPLORE_SCENARIOS: tuple[PorScenario, ...] = POR_SCENARIOS + DEMO_SCENARIOS
-
-#: The largest registry exploration: three symmetric pair-snapshot
-#: readers under two interference steps.  Big enough (>10k configs,
-#: tens of seconds serial) that frontier-sharded parallel exploration
-#: shows a wall-clock win; bench_parallel_explore.py measures it.
-BENCH_SCENARIO = PorScenario(
-    "Pair snapshot",
-    "rp||(rp||rp)",
-    lambda: _pair_snapshot("rp||(rp||rp)"),
-    90,
-    2,
-    500_000,
-)
+#: The exploration bounds gate (tests/test_explore_equiv.py) runs every
+#: registry program *including* the demo rows.
+EXPLORE_SCENARIOS: tuple[ExploreScenario, ...] = PAPER_SCENARIOS + DEMO_SCENARIOS
 
 
-def por_scenarios(names: Iterable[str] | None = None) -> list[PorScenario]:
-    """The scenario list, optionally filtered to some registry programs."""
+def paper_scenarios(names: Iterable[str] | None = None) -> list[ExploreScenario]:
+    """The case-study scenarios, optionally filtered to some registry programs."""
     if names is None:
-        return list(POR_SCENARIOS)
+        return list(PAPER_SCENARIOS)
     wanted = set(names)
-    known = {s.program for s in POR_SCENARIOS}
+    known = {s.program for s in PAPER_SCENARIOS}
     unknown = sorted(wanted - known)
     if unknown:
-        raise KeyError(f"no POR scenario for {unknown}; known: {sorted(known)}")
-    return [s for s in POR_SCENARIOS if s.program in wanted]
+        raise KeyError(f"no scenario for {unknown}; known: {sorted(known)}")
+    return [s for s in PAPER_SCENARIOS if s.program in wanted]
 
 
 def run_scenario(
-    scenario: PorScenario,
+    scenario: ExploreScenario,
     *,
-    por: bool,
     liveness: bool = False,
-    symmetry: bool = False,
-    parallel: int = 1,
     compact: bool = True,
+    domination: bool = True,
 ):
-    """Explore one scenario, reduced or not, with its verification bounds.
+    """Explore one scenario with its verification bounds.
 
-    ``por=True`` lets explore() build the interference oracle itself
-    (``analyze_config``); analysis trouble fails open to the unreduced
-    search, so the result is comparable either way.  ``liveness=True``
-    additionally arms the bounded livelock detector — observational by
-    construction, which tests/test_liveness_equiv.py checks against
-    these same scenarios.  ``symmetry``/``parallel``/``compact`` select
-    the PR-7 scaling reductions, compared against the serial explorer by
-    tests/test_explore_equiv.py over :data:`EXPLORE_SCENARIOS`.
+    ``liveness=True`` arms the bounded livelock detector — observational
+    by construction, which tests/test_liveness_equiv.py checks against
+    these same scenarios.  ``compact=False`` pins whole configurations in
+    the dedupe memo (the compaction benchmark's baseline).
+    ``domination=False`` keys the memo on the exact interference budget
+    spent instead of pruning dominated revisits.
     """
     from ..semantics.explore import explore
     from ..semantics.interp import initial_config
@@ -347,20 +309,17 @@ def run_scenario(
         max_steps=scenario.max_steps,
         env_budget=scenario.env_budget,
         max_configs=scenario.max_configs,
-        por=por,
         liveness=liveness,
-        symmetry=symmetry,
-        parallel=parallel,
         compact=compact,
+        domination=domination,
     )
 
 
 def terminal_signature(result) -> frozenset:
-    """A comparable image of an exploration's terminal set.
-
-    POR must preserve it exactly: same results, same final shared
-    states.  (Thread-private bookkeeping like remaining step budgets may
-    differ across prunings; results and shared state may not.)
+    """A comparable image of an exploration's terminal set: results and
+    final shared states.  (Thread-private bookkeeping like remaining step
+    budgets is left out.)  The liveness gate asserts the detector leaves
+    it unchanged.
     """
     return frozenset(
         (repr(c.result), c.shared_signature()) for c in result.terminals

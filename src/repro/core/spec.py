@@ -57,10 +57,6 @@ class TripleOutcome:
     explored: int = 0
     terminals: int = 0
     truncated: int = 0
-    #: sibling expansions skipped by partial-order reduction (0 without it)
-    por_pruned: int = 0
-    #: whether a POR oracle was active for this scenario's exploration
-    por_active: bool = False
     #: serialized counterexample witnesses (:mod:`repro.obs.witness`
     #: images) for this scenario's violations, capped per scenario
     witnesses: list = field(default_factory=list)

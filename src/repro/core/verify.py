@@ -60,40 +60,15 @@ def get_prepass():
     return _PREPASS
 
 
-# -- the partial-order-reduction default --------------------------------------------------
-#
-# check_triple threads ``por`` to explore(); the process default below is
-# what ``por=None`` resolves to.  It is mirrored into the REPRO_POR
-# environment variable so engine pool workers inherit it under any
-# multiprocessing start method.
-
-_POR_ENV = "REPRO_POR"
-_POR_DEFAULT: bool | None = None
-
-
-def set_por_default(flag: bool | None) -> None:
-    """Set (or with ``None`` clear) the process-wide POR default."""
-    global _POR_DEFAULT
-    _POR_DEFAULT = flag
-    if flag is None:
-        os.environ.pop(_POR_ENV, None)
-    else:
-        os.environ[_POR_ENV] = "1" if flag else "0"
-
-
-def por_default() -> bool:
-    """The current POR default (module global, else the REPRO_POR env)."""
-    if _POR_DEFAULT is not None:
-        return _POR_DEFAULT
-    return os.environ.get(_POR_ENV, "") == "1"
-
-
 # -- the liveness default -----------------------------------------------------------------
 #
-# check_triple threads ``liveness`` to explore() the same way: the flag
-# turns on the bounded livelock detector, whose findings are recorded as
-# witnesses but never become issues — safety verdicts are byte-identical
-# with it on or off (tests/test_liveness_equiv.py gates this).
+# check_triple threads ``liveness`` to explore(); the process default below
+# is what ``liveness=None`` resolves to.  It is mirrored into the
+# REPRO_LIVENESS environment variable so engine pool workers inherit it
+# under any multiprocessing start method.  The flag turns on the bounded
+# livelock detector, whose findings are recorded as witnesses but never
+# become issues — safety verdicts are byte-identical with it on or off
+# (tests/test_liveness_equiv.py gates this).
 
 _LIVENESS_ENV = "REPRO_LIVENESS"
 _LIVENESS_DEFAULT: bool | None = None
@@ -114,66 +89,6 @@ def liveness_default() -> bool:
     if _LIVENESS_DEFAULT is not None:
         return _LIVENESS_DEFAULT
     return os.environ.get(_LIVENESS_ENV, "") == "1"
-
-
-# -- the symmetry default -----------------------------------------------------------------
-#
-# check_triple threads ``symmetry`` to explore() the same way: position
-# keys canonical modulo permutation of sibling threads.  Gated by
-# tests/test_explore_equiv.py (verdict + terminal-set equality modulo
-# thread permutation, per registry program).
-
-_SYMMETRY_ENV = "REPRO_SYMMETRY"
-_SYMMETRY_DEFAULT: bool | None = None
-
-
-def set_symmetry_default(flag: bool | None) -> None:
-    """Set (or with ``None`` clear) the process-wide symmetry default."""
-    global _SYMMETRY_DEFAULT
-    _SYMMETRY_DEFAULT = flag
-    if flag is None:
-        os.environ.pop(_SYMMETRY_ENV, None)
-    else:
-        os.environ[_SYMMETRY_ENV] = "1" if flag else "0"
-
-
-def symmetry_default() -> bool:
-    """The current symmetry default (module global, else REPRO_SYMMETRY)."""
-    if _SYMMETRY_DEFAULT is not None:
-        return _SYMMETRY_DEFAULT
-    return os.environ.get(_SYMMETRY_ENV, "") == "1"
-
-
-# -- the exploration-parallelism default --------------------------------------------------
-#
-# check_triple threads ``parallel`` to explore(): >1 shards a single
-# program's schedule search across a supervised worker pool
-# (repro.semantics.parallel).  Inside a daemonic engine worker the
-# explorer falls back to serial on its own, so the env mirror is safe to
-# inherit everywhere.
-
-_EXPLORE_JOBS_ENV = "REPRO_EXPLORE_JOBS"
-_EXPLORE_JOBS_DEFAULT: int | None = None
-
-
-def set_explore_jobs_default(jobs: int | None) -> None:
-    """Set (or with ``None`` clear) the process-wide exploration width."""
-    global _EXPLORE_JOBS_DEFAULT
-    _EXPLORE_JOBS_DEFAULT = jobs
-    if jobs is None:
-        os.environ.pop(_EXPLORE_JOBS_ENV, None)
-    else:
-        os.environ[_EXPLORE_JOBS_ENV] = str(jobs)
-
-
-def explore_jobs_default() -> int:
-    """The current exploration width (module global, else REPRO_EXPLORE_JOBS)."""
-    if _EXPLORE_JOBS_DEFAULT is not None:
-        return _EXPLORE_JOBS_DEFAULT
-    try:
-        return int(os.environ.get(_EXPLORE_JOBS_ENV, "1"))
-    except ValueError:
-        return 1
 
 
 # -- the obligation-group filter ----------------------------------------------------------
@@ -661,10 +576,7 @@ def check_triple(
     env_budget: int = 0,
     max_configs: int = 200_000,
     domination: bool = True,
-    por: bool | None = None,
     liveness: bool | None = None,
-    symmetry: bool | None = None,
-    parallel: int | None = None,
 ) -> list[TripleOutcome]:
     """Check ``spec`` on every scenario by exhaustive schedule exploration.
 
@@ -674,57 +586,24 @@ def check_triple(
     against the root thread's final subjective view and the initial
     snapshot.
 
-    ``por`` enables partial-order reduction: a per-scenario interference
-    oracle (built by the installed static pre-pass when it offers one,
-    else directly) lets the explorer expand a provably-commuting thread
-    alone.  ``None`` defers to :func:`por_default` — off unless the
-    process (or ``REPRO_POR``) opted in.  Analysis trouble silently
-    falls back to the unreduced search: POR may only ever prune
-    schedules, never change a verdict (tests/test_por_equiv.py gates
-    this per registry program).
-
     ``liveness`` turns on the explorer's bounded livelock detector:
     progress-free act/env lassos land in ``ExplorationResult.cycles``
     and are recorded as replayable witnesses, but never become issues —
     safety verdicts are unchanged by construction.  ``None`` defers to
     :func:`liveness_default` (``REPRO_LIVENESS``), off unless the
     process opted in.
-
-    ``symmetry`` memoizes exploration on position keys canonical modulo
-    permutation of sibling threads; ``parallel`` > 1 shards each
-    scenario's schedule search across a supervised worker pool.  Both
-    default through :func:`symmetry_default` / :func:`explore_jobs_default`
-    (``REPRO_SYMMETRY`` / ``REPRO_EXPLORE_JOBS``) and both are gated
-    against the serial explorer per registry program in
-    tests/test_explore_equiv.py.
     """
     # Imported here to break the core <-> semantics import cycle.
     from ..semantics.explore import explore
     from ..semantics.interp import initial_config
 
-    use_por = por_default() if por is None else por
     use_liveness = liveness_default() if liveness is None else liveness
-    use_symmetry = symmetry_default() if symmetry is None else symmetry
-    use_parallel = explore_jobs_default() if parallel is None else parallel
     cap_scale = explore_cap_scale()
     if cap_scale < 1.0:
         # Watchdog degradation rung 2: shrink the state budget rather
         # than let the kernel OOM-killer end the sweep.  The floor keeps
         # tiny scenarios checkable; the engine flags the sweep degraded.
         max_configs = max(100, int(max_configs * cap_scale))
-
-    def oracle_for(scenario: Scenario):
-        if not use_por:
-            return None
-        try:
-            prepass = get_prepass()
-            if prepass is not None and hasattr(prepass, "interference"):
-                return prepass.interference(world, scenario.init, scenario.prog)
-            from ..analysis.interference import analyze_program
-
-            return analyze_program(world, scenario.init, scenario.prog)
-        except Exception:  # noqa: BLE001 - analysis bugs must not fail verdicts
-            return None
 
     outcomes: list[TripleOutcome] = []
     for scenario in scenarios:
@@ -758,10 +637,7 @@ def check_triple(
             max_configs=max_configs,
             on_terminal=on_terminal,
             domination=domination,
-            por=oracle_for(scenario),
             liveness=use_liveness,
-            symmetry=use_symmetry,
-            parallel=use_parallel,
         )
         tr = obs_tracer.current()
         if tr is not None:
@@ -771,17 +647,15 @@ def check_triple(
                 started * 1e6,
                 time.perf_counter() * 1e6,
                 explored=result.explored,
-                terminals=result.terminal_total,
+                terminals=len(result.terminals),
                 violations=len(result.violations),
                 cycles=len(result.cycles),
                 truncated=result.truncated,
                 env_budget=env_budget,
             )
         outcome.explored = result.explored
-        outcome.terminals = result.terminal_total
+        outcome.terminals = len(result.terminals)
         outcome.truncated = result.truncated
-        outcome.por_pruned = result.por_pruned
-        outcome.por_active = result.por_active
         outcome.issues.extend(str(v) for v in result.violations)
         if result.violations:
             _record_witnesses(

@@ -14,22 +14,13 @@ Partial correctness: paths that exceed the step bound are *truncated*, not
 failed (they correspond to executions that have not terminated yet), and
 the count of truncated paths is reported.
 
-Three scaling reductions stack on the base search, each A/B-able and
-gated by registry-wide equivalence tests:
-
-- ``por=`` prunes provably-commuting sibling expansions (PR 4,
-  tests/test_por_equiv.py);
-- ``symmetry=True`` memoizes on position keys canonical modulo
-  permutation of sibling threads (:mod:`.symmetry`,
-  tests/test_explore_equiv.py);
-- ``parallel=N`` shards the search frontier by schedule prefix across a
-  supervised worker pool (:mod:`.parallel`), merging shard results via
-  ``stable_fingerprint``-based terminal signatures.
-
-Memory compaction (``compact=True``, the default) stores visit records
-instead of whole configurations in the dedupe memo and hash-conses the
-position keys, so resident memory tracks the *frontier*, not the entire
-visited graph.
+Two cuts keep the search small without changing what it proves:
+*domination* prunes a revisit that an earlier visit to the same position
+covered, and *compaction* (``compact=True``, the default) stores visit
+records instead of whole configurations in the dedupe memo and
+hash-conses the position keys, so resident memory tracks the
+*frontier*, not the entire visited graph.  The bounded *liveness*
+observer rides on the same memo and never prunes.
 """
 
 from __future__ import annotations
@@ -41,7 +32,7 @@ from typing import Any, Callable
 
 from ..core.errors import VerificationError
 from ..obs import tracer as _obs
-from .interp import Config, _sort_key, do_action, env_successors, stable_fingerprint
+from .interp import Config, do_action, env_successors
 from .trace import Event, Trace
 
 
@@ -60,52 +51,9 @@ class Violation:
         return body
 
 
-def terminal_signature_of(config: Config) -> tuple[str, str]:
-    """A process-stable signature of a terminal configuration.
-
-    The pair (result repr, ``stable_fingerprint`` of the shared-state
-    signature) identifies what a terminal *observably* is — the value the
-    program returned and the shared state it left behind — without
-    embedding any ``id()``.  Both components are rendered to strings so
-    the signature survives pickling across the parallel explorer's worker
-    boundary and compares equal between processes (``Heap.__repr__``
-    orders cells by pointer address, so the reprs are deterministic).
-    """
-    return (repr(config.result), repr(stable_fingerprint(config.shared_signature())))
-
-
-def symmetric_result_image(value: Any) -> Any:
-    """``value`` with every pair put in canonical order, recursively.
-
-    ``par`` returns its children's results as a 2-tuple, so permuting
-    sibling threads permutes exactly the pairs along the join spine —
-    sorting every pair is the coarsest image invariant under that.  Data
-    pairs that are not join results get sorted too, which can only
-    *conflate*, never separate: the symmetry equivalence gate therefore
-    pairs this with an exact-signature subset check (a symmetry run may
-    not invent terminals), making the combination sound and sharp.
-    """
-    if isinstance(value, tuple):
-        parts = tuple(symmetric_result_image(v) for v in value)
-        if len(parts) == 2:
-            return tuple(sorted(parts, key=_sort_key))
-        return parts
-    return value
-
-
-def symmetric_terminal_signature_of(config: Config) -> tuple[str, str]:
-    """:func:`terminal_signature_of` modulo thread permutation: the shared
-    state is already permutation-invariant (sibling contributions join
-    commutatively), so only the result needs canonicalizing."""
-    return (
-        repr(symmetric_result_image(config.result)),
-        repr(stable_fingerprint(config.shared_signature())),
-    )
-
-
 @dataclass
 class ExplorationResult:
-    """Outcome of exploring (part of) the schedule space."""
+    """Outcome of exploring the schedule space."""
 
     terminals: list[Config] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
@@ -115,124 +63,31 @@ class ExplorationResult:
     #: back to tree search.  Nonzero on a healthy model is a fingerprinting
     #: regression — dedup silently degrading is exactly what this surfaces.
     unfingerprinted: int = 0
-    #: Sibling expansions skipped by the partial-order reduction.
-    por_pruned: int = 0
-    #: Whether a POR oracle was consulted during this exploration.
-    por_active: bool = False
     #: Configurations pruned by dedupe/domination (memoized positions).
     deduped: int = 0
     #: Largest DFS frontier observed (tracked on every push).
     frontier_peak: int = 0
-    #: Whether position keys were canonicalized modulo thread symmetry.
-    symmetry_active: bool = False
-    #: Frontier shards a parallel exploration fanned out to (0 = serial).
-    shards: int = 0
-    #: Terminals reached inside worker processes, counted remotely: their
-    #: Configs hold closures and never cross the process boundary.
-    remote_terminals: int = 0
-    #: Canonical signatures of remote terminals (see
-    #: :func:`terminal_signature_of`); ``None`` on purely-serial runs.
-    terminal_sigs: frozenset[tuple[str, str]] | None = None
-    #: Permutation-invariant signatures of remote terminals (see
-    #: :func:`symmetric_terminal_signature_of`); ``None`` when serial.
-    sym_terminal_sigs: frozenset[tuple[str, str]] | None = None
     #: Livelock lassos observed by the bounded liveness detector
     #: (``explore(liveness=True)``): kind-"livelock" violations whose trace
     #: ends with a progress-free cycle.  Deliberately *not* folded into
     #: ``violations``: a livelock candidate is a liveness finding, and the
     #: safety verdict (``ok``) must be identical with the detector on or off.
     cycles: list[Violation] = field(default_factory=list)
-    #: Unexpanded frontier left behind when ``_frontier_limit`` stopped the
-    #: search early (the parallel explorer's shard roots).  Always empty on
-    #: results returned to callers of the public API.
-    pending: list[tuple[Config, int]] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def terminal_total(self) -> int:
-        """Terminals reached anywhere: local configs plus remote counts."""
-        return len(self.terminals) + self.remote_terminals
-
-    def results(self) -> list[Any]:
-        """Result values of *locally held* terminal configurations.
-
-        A parallel exploration counts worker-side terminals in
-        :attr:`remote_terminals` and identifies them via
-        :meth:`terminal_signatures`; their result objects stay remote.
-        """
-        return [c.result for c in self.terminals]
-
-    def terminal_signatures(self) -> frozenset[tuple[str, str]]:
-        """Canonical cross-process signatures of every terminal reached."""
-        sigs = {terminal_signature_of(c) for c in self.terminals}
-        if self.terminal_sigs is not None:
-            sigs |= self.terminal_sigs
-        return frozenset(sigs)
-
-    def symmetric_terminal_signatures(self) -> frozenset[tuple[str, str]]:
-        """Terminal signatures modulo thread permutation — the image a
-        symmetry-reduced search preserves exactly (the equivalence gate
-        compares these, plus exact-signature containment)."""
-        sigs = {symmetric_terminal_signature_of(c) for c in self.terminals}
-        if self.sym_terminal_sigs is not None:
-            sigs |= self.sym_terminal_sigs
-        return frozenset(sigs)
-
     def summary(self) -> str:
         body = (
-            f"explored={self.explored} terminals={self.terminal_total} "
+            f"explored={self.explored} terminals={len(self.terminals)} "
             f"truncated={self.truncated} violations={len(self.violations)}"
         )
         if self.unfingerprinted:
             body += f" unfingerprinted={self.unfingerprinted}"
-        if self.por_active:
-            body += f" por_pruned={self.por_pruned}"
-        if self.symmetry_active:
-            body += " symmetry=on"
-        if self.shards:
-            body += f" shards={self.shards}"
         if self.cycles:
             body += f" cycles={len(self.cycles)}"
         return body
-
-
-def _ample_tid(current: Config, tids: list[int], oracle: Any) -> tuple[int | None, int]:
-    """The singleton ample set at ``current``, or ``(None, 0)`` for full
-    expansion.
-
-    Preconditions checked here (every one fails open to full expansion):
-    each runnable thread's pending instance must be known to the oracle,
-    its view must be a member of the modelled state family (so the static
-    commutation facts apply at this configuration), and its pending action
-    must be safe (so crashes are always witnessed by the full expansion).
-    Given that, the lowest thread whose pending instance is independent of
-    *every* statically-parallel instance is a sound singleton ample set.
-    """
-    pending = []
-    for tid in tids:
-        key = current.pending_action(tid)
-        if key is None or not oracle.knows(key):
-            return None, 0
-        try:
-            view = current.view_for(tid)
-        except Exception:  # noqa: BLE001 - unviewable thread: fail open
-            return None, 0
-        if not oracle.view_in_family(view):
-            return None, 0
-        node = oracle.action_of(key)
-        try:
-            if not node.action.safe(view, *node.args):
-                return None, 0
-        except Exception:  # noqa: BLE001 - crashing guard: fail open
-            return None, 0
-        pending.append((tid, key))
-    for tid, key in pending:
-        if oracle.key_eligible(key):
-            return tid, len(tids) - 1
-    return None, 0
 
 
 #: Hash-consing depth for position keys: deep enough to share the per-key
@@ -265,15 +120,8 @@ def explore(
     on_terminal: Callable[[Config], str | None] | None = None,
     dedupe: bool = True,
     domination: bool = True,
-    por: Any = None,
     liveness: bool = False,
-    symmetry: bool = False,
-    parallel: int = 1,
     compact: bool = True,
-    _roots: list[tuple[Config, int]] | None = None,
-    _seen: dict[tuple, list[tuple[int, int, Config | None]]] | None = None,
-    _anchors: list[Any] | None = None,
-    _frontier_limit: int | None = None,
 ) -> ExplorationResult:
     """Exhaustive DFS over schedules (and interference, up to ``env_budget``).
 
@@ -297,18 +145,6 @@ def explore(
     behaviour) re-expands positions that a cheaper earlier visit fully
     covered; it is kept for A/B measurement and regression tests.
 
-    ``por`` (default off, A/B-able like ``domination``) enables
-    partial-order reduction from statically proven independence: pass a
-    :class:`repro.analysis.interference.ProgramInterference` oracle, or
-    ``True`` to build one from ``config``.  At configurations where the
-    interference budget is spent, a thread whose pending action provably
-    commutes with everything parallel threads may run is expanded *alone*
-    (a deterministic singleton ample set); every precondition failure
-    falls back to full expansion, so the reduction only ever prunes
-    schedules the commutation facts cover.  Verdict and terminal-set
-    equality against the unreduced search is gated per registry program
-    in tests/test_por_equiv.py.
-
     ``liveness`` (default off) turns on the bounded livelock detector:
     when a configuration revisits a memoized position key and its trace
     extends an earlier visit's trace by a cycle of act and env events
@@ -319,72 +155,18 @@ def explore(
     observational: it never changes pruning, so verdicts, terminal sets
     and exploration counts are identical with it on or off
     (tests/test_liveness_equiv.py gates this per registry program).
-
-    ``symmetry`` (default off) memoizes on
-    :func:`~repro.semantics.symmetry.canonical_position_key` instead:
-    position keys canonical modulo permutation of sibling threads, so a
-    configuration merges with its mirror images (``rp || rp`` halves).
-    Sound for specs invariant under permuting identical-thread results;
-    gated per registry program in tests/test_explore_equiv.py.
-
-    ``parallel`` > 1 delegates to
-    :func:`~repro.semantics.parallel.explore_parallel`: a serial prefix
-    widens the frontier, which is sharded across a supervised worker
-    pool; shard results merge via canonical terminal signatures.  The
-    merged result counts worker-side terminals in
-    :attr:`ExplorationResult.remote_terminals` (their configurations stay
-    remote), and ``max_configs`` bounds the prefix and each shard
-    individually rather than the global total.
-
-    The underscore parameters are the parallel explorer's sharding hooks:
-    ``_roots`` overrides the initial stack, ``_seen``/``_anchors`` let the
-    caller own (and pre-seed) the memo, and ``_frontier_limit`` stops the
-    search once the frontier is at least that wide, parking the unexpanded
-    remainder in :attr:`ExplorationResult.pending`.
     """
-    if parallel > 1 and _roots is None and _frontier_limit is None:
-        from .parallel import explore_parallel
-
-        return explore_parallel(
-            config,
-            parallel=parallel,
-            max_steps=max_steps,
-            env_budget=env_budget,
-            max_configs=max_configs,
-            on_terminal=on_terminal,
-            dedupe=dedupe,
-            domination=domination,
-            por=por,
-            liveness=liveness,
-            symmetry=symmetry,
-            compact=compact,
-        )
-    oracle: Any = por if por not in (None, False, True) else None
-    if por is True:
-        from ..analysis.interference import analyze_config
-
-        oracle = analyze_config(config)
-    if oracle is not None and not getattr(oracle, "enabled", False):
-        oracle = None
-    if symmetry:
-        from .symmetry import canonical_position_key
     result = ExplorationResult()
-    result.por_active = oracle is not None
-    result.symmetry_active = bool(symmetry)
-    stack: list[tuple[Config, int]] = (
-        list(_roots) if _roots is not None else [(config, 0)]
-    )
+    stack: list[tuple[Config, int]] = [(config, 0)]
     #: position key -> recorded (env_used, steps, config-or-None) visits.
     #: The config slot is filled only when liveness trace-extension checks
     #: (or compact=False) need it; anchors keep fingerprint ids valid.
-    seen: dict[tuple, list[tuple[int, int, Config | None]]] = (
-        _seen if _seen is not None else {}
-    )
+    seen: dict[tuple, list[tuple[int, int, Config | None]]] = {}
     #: Thread records of every memoized position.  Position keys embed
     #: id()-based fingerprint components of thread programs/continuations;
     #: anchoring the ThreadCtx objects keeps those ids from being recycled
     #: without pinning whole configurations (and their traces).
-    anchors: list[Any] = _anchors if _anchors is not None else []
+    anchors: list[Any] = []
     intern_table: dict[Any, Any] = {}
     # A single contextvar read up front: per-config work stays free when
     # tracing is off (the span below is emitted once, at the end).
@@ -397,11 +179,7 @@ def explore(
             current, env_used = stack.pop()
             if dedupe:
                 try:
-                    pos = (
-                        canonical_position_key(current)
-                        if symmetry
-                        else current.position_key()
-                    )
+                    pos = current.position_key()
                 except Exception:  # noqa: BLE001 - unfingerprintable: fall back
                     pos = None
                     result.unfingerprinted += 1
@@ -460,21 +238,7 @@ def explore(
             if current.steps >= max_steps:
                 result.truncated += 1
                 continue
-            tids = sorted(current.runnable_threads())
-            if (
-                oracle is not None
-                and dedupe
-                and env_used >= env_budget
-                and len(tids) > 1
-            ):
-                # With the interference budget spent, no env successor is
-                # injected below this configuration, so the only branching is
-                # the thread choice — the one an ample singleton may restrict.
-                chosen, skipped = _ample_tid(current, tids, oracle)
-                if chosen is not None:
-                    tids = [chosen]
-                    result.por_pruned += skipped
-            for tid in tids:
+            for tid in sorted(current.runnable_threads()):
                 try:
                     stack.append((do_action(current, tid), env_used))
                 except VerificationError as exc:
@@ -496,12 +260,6 @@ def explore(
                     )
             if len(stack) > result.frontier_peak:
                 result.frontier_peak = len(stack)
-            if _frontier_limit is not None and len(stack) >= _frontier_limit:
-                # Wide enough to shard: park the unexpanded frontier.  Every
-                # memoized position has already been expanded here, so the
-                # pending entries jointly cover everything below them.
-                result.pending = stack
-                return result
         return result
     finally:
         if tr is not None:
@@ -515,14 +273,11 @@ def explore(
                 deduped=result.deduped,
                 unfingerprinted=result.unfingerprinted,
                 truncated=result.truncated,
-                terminals=result.terminal_total,
+                terminals=len(result.terminals),
                 violations=len(result.violations),
                 frontier_peak=result.frontier_peak,
                 env_budget=env_budget,
                 env_spent=env_spent,
-                por_active=result.por_active,
-                por_pruned=result.por_pruned,
-                symmetry=result.symmetry_active,
                 cycles=len(result.cycles),
             )
 

@@ -7,8 +7,8 @@ requests — the four costs a cold ``repro verify`` pays every time:
   process *is* the warm interpreter);
 * the **static pre-pass**: one resident
   :class:`~repro.analysis.prepass.StaticPrepass` is installed for every
-  in-process sweep, so env-closure sweeps and interference oracles
-  amortize across requests (sound: its memos are keyed by — and pin —
+  in-process sweep, so its env-closure sweeps amortize across
+  requests (sound: its memos are keyed by — and pin —
   the very objects they describe, so a hot-reloaded module's fresh
   objects recompute while unchanged modules stay warm);
 * the **dependency-cone fingerprints**: per-program fingerprints are
@@ -177,7 +177,6 @@ class Session:
             "prepass": {
                 "consulted": self.prepass.consulted,
                 "skipped": len(self.prepass.skipped),
-                "oracles": self.prepass.oracles_built,
             },
         }
         return result_frame(request.id, "status", 0, payload)
@@ -238,9 +237,7 @@ class Session:
                 jobs=jobs,
                 cache=cache,
                 cache_dir=self.cache_dir,
-                por=bool(p.get("por", False)),
                 liveness=bool(p.get("liveness", False)),
-                symmetry=bool(p.get("symmetry", False)),
                 timeout=p.get("timeout"),
                 retries=int(p.get("retries", 1)),
                 journal=False,  # daemon sweeps are short; the cache persists

@@ -43,6 +43,25 @@ def test_verify_bad_fault_spec_is_usage_error(capsys):
     assert main(["verify", "--inject", "not-a-spec"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--por"],
+        ["verify", "--symmetry"],
+        ["verify", "--explore-jobs", "2"],
+        ["profile", "--por"],
+    ],
+    ids=["verify-por", "verify-symmetry", "verify-explore-jobs", "profile-por"],
+)
+def test_removed_reduction_flags_are_usage_errors(argv, capsys):
+    """POR, symmetry reduction and frontier sharding are gone: their
+    flags are unknown options (argparse usage error), never ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_profile_unknown_program_is_usage_error(capsys):
     assert main(["profile", "--program", "No such program"]) == 2
     assert "No such program" in capsys.readouterr().err

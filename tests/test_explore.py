@@ -1,6 +1,7 @@
 """Tests of schedule exploration: exhaustiveness, interference, stutters."""
 
 import random
+import sys
 
 import pytest
 
@@ -164,14 +165,24 @@ class TestCompaction:
         return par(act(BumpAction(conc)), act(ReadCounterAction(conc)))
 
     def _run(self, world, conc, **kwargs):
-        seen, anchors = {}, []
+        """Explore and return the explorer's own memo: the ``seen`` dict
+        and ``anchors`` list, taken from explore()'s frame when the first
+        terminal is reported (both are mutated in place, so the objects
+        hold the complete memo once explore() returns)."""
+        memo: dict = {}
+
+        def grab(terminal):
+            frame = sys._getframe(1)
+            memo.setdefault("seen", frame.f_locals["seen"])
+            memo.setdefault("anchors", frame.f_locals["anchors"])
+            return None
+
         result = explore(
             initial_config(world, counter_state(conc), self._prog(conc)),
-            _seen=seen,
-            _anchors=anchors,
+            on_terminal=grab,
             **kwargs,
         )
-        return result, seen, anchors
+        return result, memo["seen"], memo["anchors"]
 
     def test_compact_memo_stores_no_configs(self, world, conc):
         # Regression: the memo used to pin every visited Config (and its
@@ -209,38 +220,6 @@ class TestCompaction:
         one = _intern((("a", (1, 2)), ("b", (3,))), table)
         two = _intern((("a", (1, 2)), ("c", (4,))), table)
         assert one[0] is two[0]  # the shared section is one object
-
-
-class TestSymmetry:
-    def test_mirror_configurations_merge(self, world, conc):
-        # Two threads running the *same* program (one shared action — the
-        # semantics compares actions by identity) are interchangeable, so
-        # the canonical memo merges each configuration with its mirror.
-        action = BumpAction(conc)
-        prog = par(act(action), act(action))
-        base = explore(initial_config(world, counter_state(conc), prog))
-        reduced = explore(
-            initial_config(world, counter_state(conc), prog), symmetry=True
-        )
-        assert reduced.symmetry_active
-        assert reduced.explored < base.explored
-        assert not reduced.violations
-        assert {t.joints[conc.label][CELL] for t in reduced.terminals} == {
-            t.joints[conc.label][CELL] for t in base.terminals
-        }
-
-    def test_asymmetric_threads_unaffected(self, world, conc):
-        # Distinct sibling programs never collide under canonicalization:
-        # the key sorts subtrees but keeps their full per-thread records.
-        prog = par(act(BumpAction(conc)), act(ReadCounterAction(conc)))
-        base = explore(initial_config(world, counter_state(conc), prog))
-        reduced = explore(
-            initial_config(world, counter_state(conc), prog), symmetry=True
-        )
-        assert reduced.explored == base.explored
-        assert {repr(t.result) for t in reduced.terminals} == {
-            repr(t.result) for t in base.terminals
-        }
 
 
 class TestDominationOnCaseStudy:

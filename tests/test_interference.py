@@ -1,26 +1,17 @@
-"""Footprints and the conflict relation (repro.analysis.interference).
+"""Footprints (repro.analysis.interference).
 
-Two layers:
-
-* **Golden footprints** — every registry action's observed footprint is
-  swept for structural soundness invariants, and a stable subset is
-  pinned exactly (which cells each action reads/writes, attributed to
-  which concurroid label).  A footprint regression here means the POR
-  oracle and the race rules are reasoning from wrong effect summaries.
-* **Widening monotonicity** — the mutation test: coarsening a footprint
-  (extra writes) may only *add* conflicts.  If widening could ever flip
-  a may-not-commute pair to independent, every over-approximation in
-  the analysis would be a soundness hole instead of a safe loss of
-  precision.
+Every registry action's observed footprint is swept for structural
+soundness invariants, and a stable subset is pinned exactly (which cells
+each action reads/writes, attributed to which concurroid label).  A
+footprint regression here means the race and lock-order rules are
+reasoning from wrong effect summaries.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from repro.analysis.interference import action_footprint, footprints_conflict
+from repro.analysis.interference import action_footprint
 from repro.analysis.targets import TARGET_BUILDERS, target_for
 from repro.heap import ptr
 
@@ -127,49 +118,3 @@ def test_golden_footprints(key):
     assert fp.runs > 0, "golden action never ran — family or guard changed"
     assert fp.reads == frozenset(reads)
     assert fp.writes == frozenset(writes)
-
-
-def test_pure_readers_commute_writers_conflict():
-    rx = _golden("Pair snapshot", "rp.read_x", ())
-    ry = _golden("Pair snapshot", "rp.read_y", ())
-    wx = _golden("Pair snapshot", "rp.write_x", (1,))
-    # Two pure readers never conflict; a writer conflicts with a reader
-    # of the same cell.
-    assert not footprints_conflict(rx, ry)
-    assert not footprints_conflict(rx, rx)
-    assert footprints_conflict(wx, rx)
-    assert footprints_conflict(wx, wx)
-
-
-def test_widening_never_flips_conflict_to_independent():
-    """The mutation test: for every pair of registry footprints, if the
-    pair may-not-commute (conflicts), it still conflicts after widening
-    either side with arbitrary extra writes."""
-    pool = [fp for __, ___, ____, fp in FOOTPRINTS if fp.runs > 0]
-    extra = (("mutant", ptr(999)),)
-    checked = 0
-    for fa, fb in itertools.combinations(pool, 2):
-        conflict = footprints_conflict(fa, fb)
-        wa = fa.widened(extra_writes=extra)
-        wb = fb.widened(extra_writes=extra)
-        if conflict:
-            checked += 1
-            assert footprints_conflict(wa, fb)
-            assert footprints_conflict(fa, wb)
-            assert footprints_conflict(wa, wb)
-        # Widening with a cell the partner touches must create a
-        # conflict (the relation is cell-membership driven, not name
-        # driven).
-        if fb.touched:
-            cell = next(iter(fb.touched))
-            assert footprints_conflict(fa.widened(extra_writes=(cell,)), fb)
-    assert checked > 0, "no conflicting registry pair exercised the mutation"
-
-
-def test_widened_is_strictly_coarser():
-    fp = _golden("Pair snapshot", "rp.read_x", ())
-    cell = ("rp", ptr(999))
-    w = fp.widened(extra_writes=(cell,))
-    assert cell in w.writes
-    assert fp.writes <= w.writes
-    assert not w.pure

@@ -14,18 +14,27 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.scenarios import (
-    POR_SCENARIOS,
+    PAPER_SCENARIOS,
     run_scenario,
     terminal_signature,
 )
 
 
+def test_every_registry_program_has_a_scenario():
+    """Adding a case study must force a gate scenario for it."""
+    from repro.structures.registry import all_programs
+
+    covered = {s.program for s in PAPER_SCENARIOS}
+    missing = [info.name for info in all_programs() if info.name not in covered]
+    assert not missing, f"registry programs without a liveness gate scenario: {missing}"
+
+
 @pytest.mark.parametrize(
-    "scenario", POR_SCENARIOS, ids=[s.key for s in POR_SCENARIOS]
+    "scenario", PAPER_SCENARIOS, ids=[s.key for s in PAPER_SCENARIOS]
 )
 def test_liveness_preserves_verdict_and_terminals(scenario):
-    base = run_scenario(scenario, por=False)
-    live = run_scenario(scenario, por=False, liveness=True)
+    base = run_scenario(scenario)
+    live = run_scenario(scenario, liveness=True)
 
     # Same verdict, same truncation, same search: the detector hooks the
     # dedupe site *before* pruning and never redirects the frontier.
@@ -37,15 +46,6 @@ def test_liveness_preserves_verdict_and_terminals(scenario):
 
     # And the flag is what arms it.
     assert base.cycles == []
-
-
-def test_liveness_composes_with_por():
-    """Both flags together still preserve the POR-reduced search."""
-    scenario = POR_SCENARIOS[0]  # CAS-lock bump||bump
-    reduced = run_scenario(scenario, por=True)
-    both = run_scenario(scenario, por=True, liveness=True)
-    assert reduced.explored == both.explored
-    assert terminal_signature(reduced) == terminal_signature(both)
 
 
 def test_verifier_verdict_unchanged_under_liveness_default():
@@ -71,7 +71,7 @@ def test_verifier_verdict_unchanged_under_liveness_default():
 
 def test_sweep_liveness_flag_is_restored():
     """run_sweep(liveness=True) must not leak the default into the
-    caller's process (mirrors the POR installation contract)."""
+    caller's process."""
     from repro.core.verify import liveness_default
     from repro.engine import run_sweep
 

@@ -7,10 +7,10 @@ are single-lock structures — one node, no edges, trivially acyclic —
 while the two-lock demo exists to keep the FCSL050 positive case
 in-tree: opposite-order ladders produce the la->lb / lb->la cycle.
 
-The mutation tests drive :meth:`LockOrderGraph.with_edge` (the analogue
-of ``Footprint.widened``): adding a synthetic back-edge to a clean graph
-must make the cycle rule fire, which proves FCSL050 is detected by the
-cycle structure itself, not memorized per program.
+The mutation tests drive :meth:`LockOrderGraph.with_edge`: adding a
+synthetic back-edge to a clean graph must make the cycle rule fire,
+which proves FCSL050 is detected by the cycle structure itself, not
+memorized per program.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ structured counterexample witness whose minimized schedule is strictly
 shorter than the original and replays deterministically to the same
 violation; witnesses survive the engine's worker IPC and the persistent
 obligation cache; a traced sweep emits valid Chrome-trace JSON carrying
-the explorer's frontier/prune/POR counters and the cache's hit/miss
+the explorer's frontier/prune counters and the cache's hit/miss
 events; and the traceback/issue-truncation satellites behave.
 """
 
@@ -356,7 +356,6 @@ class TestEngineRoundTrips:
             "deduped",
             "frontier_peak",
             "env_budget",
-            "por_pruned",
             "violations",
         ):
             assert key in explore_args
